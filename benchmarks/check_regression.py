@@ -29,8 +29,8 @@ Guarded quantities and directions:
   batched NumPy sweep vs the per-window reference on C1; also the guard
   behind the re-baselined ``benchmarks.test_scaling`` entry)
 * ``solvers.sss_compiled_speedup``       -- must not DROP >30% (checked
-  only where a compiled backend -- numba or the self-built C kernels --
-  is available; otherwise reported as a skip)
+  only where the self-built C kernels are available; otherwise
+  reported as a skip)
 * ``engine...fastpath_seconds``          -- must not RISE >60% (seconds
   get a wider default tolerance than ratios: absolute wall-clock varies
   with host and machine load phase, while ratios taken from interleaved

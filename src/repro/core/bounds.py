@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.baselines import global_mapping
-from repro.core.problem import OBMInstance
-from repro.core.sam import solve_sam
+from repro.core.hungarian import solve_rate_assignments
+from repro.core.problem import Mapping, OBMInstance
+from repro.core.sam import solve_sams
 
 __all__ = ["OBMLowerBound", "max_apl_lower_bound"]
 
@@ -51,45 +51,42 @@ class OBMLowerBound:
         return achieved_max_apl / self.value - 1.0
 
 
-def _best_tiles_for_app(
-    instance: OBMInstance, app_index: int
-) -> np.ndarray:
-    """The unconstrained best tile set for one application.
+def max_apl_lower_bound(instance: OBMInstance) -> OBMLowerBound:
+    """Compute both lower bounds for ``instance``.
 
-    Because a thread's cost is ``c_j*TC(k) + m_j*TM(k)``, handing the
-    application the tiles minimising its own SAM optimum and placing
-    optimally can only *under*-estimate its APL in any feasible mapping
-    (where it competes with other applications for tiles).  The minimum is
-    found exactly by solving the rectangular assignment of the app's
-    threads against *all* tiles.
+    Two kernel crossings: the global (*Global* baseline) solve together
+    with every application's unconstrained best-tile solve, then every
+    application's SAM on its best tiles.
+
+    The best tile set of one application is found exactly by solving the
+    rectangular assignment of its threads against *all* tiles: because a
+    thread's cost is ``c_j*TC(k) + m_j*TM(k)``, handing the application
+    those tiles and placing optimally can only *under*-estimate its APL
+    in any feasible mapping (where it competes with other applications
+    for tiles).
     """
     wl = instance.workload
-    sl = wl.thread_slice(app_index)
-    c = wl.cache_rates[sl]
-    m = wl.mem_rates[sl]
-    # Rectangular assignment: n_threads rows vs all N tile columns.
-    from repro.core.hungarian import solve_assignment
+    tc, tm = instance.tc, instance.tm
+    apps = [i for i in range(wl.n_apps) if wl.app_volumes[i] > 0]
+    slices = [wl.thread_slice(i) for i in apps]
+    # Global: all threads vs all tiles.  Best tiles: one app's n_threads
+    # rows vs all N tile columns.
+    solved = solve_rate_assignments(
+        [(wl.cache_rates, wl.mem_rates, tc, tm)]
+        + [(wl.cache_rates[sl], wl.mem_rates[sl], tc, tm) for sl in slices]
+    )
+    mean_bound = instance.evaluate(Mapping(solved[0].col_of_row)).g_apl
 
-    cost = c[:, None] * instance.tc[None, :] + m[:, None] * instance.tm[None, :]
-    result = solve_assignment(cost)
-    return result.col_of_row
-
-
-def max_apl_lower_bound(instance: OBMInstance) -> OBMLowerBound:
-    """Compute both lower bounds for ``instance``."""
-    glob = global_mapping(instance)
-    mean_bound = glob.g_apl
-
-    wl = instance.workload
     optima = np.zeros(wl.n_apps)
-    for i in range(wl.n_apps):
-        if wl.app_volumes[i] <= 0:
-            continue
-        tiles = _best_tiles_for_app(instance, i)
-        sl = wl.thread_slice(i)
-        res = solve_sam(
-            wl.cache_rates[sl], wl.mem_rates[sl], tiles, instance.tc, instance.tm
-        )
+    sams = solve_sams(
+        [
+            (wl.cache_rates[sl], wl.mem_rates[sl], best.col_of_row)
+            for sl, best in zip(slices, solved[1:])
+        ],
+        tc,
+        tm,
+    )
+    for i, res in zip(apps, sams):
         optima[i] = res.apl
     optima.setflags(write=False)
     return OBMLowerBound(

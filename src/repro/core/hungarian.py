@@ -11,11 +11,14 @@ costs stay non-negative.  Rectangular matrices (fewer rows than columns —
 The implementation is validated against SciPy on thousands of random
 instances in the test suite, including degenerate (tied) costs.
 
-The solve dispatches through the solver-kernel backends of
-`repro.core.permkernels`: a numba/``interp`` kernel
-(`repro.core.jit_solvers.hungarian_kernel`), the self-compiled C kernel
-(`repro.core.cc_solvers`), or the vectorised NumPy form — all
-transliterations of :func:`_solve_reference` with the identical reduced
+Problems are solved in batches: :func:`solve_assignments` takes explicit
+cost matrices and :func:`solve_rate_assignments` takes eq. 13 blocks
+(``c_i*TC(k) + m_i*TM(k)``) as rates and column values.  A batch is one
+crossing into the self-compiled C kernel (`repro.core.cc_solvers`) and
+one ``hungarian`` span; :func:`solve_assignment` is a batch of one.  The
+``numpy`` and ``reference`` backends of `repro.core.permkernels` loop
+their per-problem solvers behind the same API.  Every backend is a
+transliteration of :func:`_solve_reference` with the identical reduced
 cost expression and ascending-column first-minimum tie-break, so
 degenerate instances pick the same assignment on every backend (pinned
 by the property suite).
@@ -23,14 +26,21 @@ by the property suite).
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import cc_solvers, jit_solvers
+from repro.core import cc_solvers
 from repro.obs import reqtrace
 
-__all__ = ["AssignmentResult", "solve_assignment"]
+__all__ = [
+    "AssignmentResult",
+    "solve_assignment",
+    "solve_assignments",
+    "solve_rate_assignments",
+]
 
 
 @dataclass(frozen=True)
@@ -62,87 +72,155 @@ def solve_assignment(cost: np.ndarray) -> AssignmentResult:
     ValueError
         If the matrix is empty, non-finite, or has more rows than columns.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
-    n, m = cost.shape
+    return solve_assignments([cost])[0]
+
+
+def solve_assignments(costs: Sequence[np.ndarray]) -> list[AssignmentResult]:
+    """:func:`solve_assignment` for every matrix of ``costs``, in one crossing.
+
+    Bit-identical to solving each matrix alone.  An invalid matrix raises
+    the ``ValueError`` it raises alone; with several, the first one's.
+    """
+    blocks = []
+    for cost in costs:
+        cost = np.asarray(cost, dtype=float)
+        if cost.ndim != 2:
+            error = f"cost must be a 2-D matrix, got shape {cost.shape}"
+        else:
+            error = _shape_error(*cost.shape)
+            if error is None and not np.all(np.isfinite(cost)):
+                error = "cost matrix must be finite"
+        if error is not None:
+            raise ValueError(error)
+        blocks.append(cost)
+    if not blocks:
+        return []
+    dims = [cost.shape for cost in blocks]
+    return _solve_batch(dims, [cost.ravel() for cost in blocks], has_costs=True)
+
+
+def solve_rate_assignments(
+    problems: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+) -> list[AssignmentResult]:
+    """Solve eq. 13 blocks ``(c, m, tc, tm)`` in one crossing.
+
+    Problem ``(c, m, tc, tm)`` is the assignment on the matrix
+    ``c[:, None] * tc[None, :] + m[:, None] * tm[None, :]``: rows are
+    threads with cache/memory rates ``c``/``m``, columns are tiles with
+    latencies ``tc``/``tm``.  The compiled kernel builds each block
+    itself; the result is bit-identical to :func:`solve_assignment` on
+    that matrix, errors included.
+    """
+    dims = []
+    parts = []
+    for index, (c, m, tc, tm) in enumerate(problems):
+        c, m, tc, tm = (np.asarray(a, dtype=float) for a in (c, m, tc, tm))
+        if not (c.ndim == tc.ndim == 1 and c.shape == m.shape and tc.shape == tm.shape):
+            error = (
+                f"rates and tile latencies must be 1-D pairs, got "
+                f"{c.shape}, {m.shape}, {tc.shape}, {tm.shape}"
+            )
+        else:
+            error = _shape_error(c.size, tc.size)
+        if error is not None:
+            # A bad block's error must not hide an earlier block's.
+            solve_rate_assignments(problems[:index])
+            raise ValueError(error)
+        dims.append((c.size, tc.size))
+        parts.append((c, m, tc, tm))
+    if not dims:
+        return []
+    # Packed order: every c, then every m, every tc, every tm.
+    flat = [part[col] for col in range(4) for part in parts]
+    return _solve_batch(dims, flat, has_costs=False)
+
+
+def _shape_error(n: int, m: int) -> str | None:
     if n == 0 or m == 0:
-        raise ValueError("cost matrix must be non-empty")
+        return "cost matrix must be non-empty"
     if n > m:
-        raise ValueError(
+        return (
             f"cost matrix has more rows ({n}) than columns ({m}); "
             "transpose it or pad with dummy columns"
         )
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix must be finite")
-
-    with reqtrace.span("hungarian", rows=n, cols=m):
-        return _solve(cost, n, m)
+    return None
 
 
-def _solve(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
-    """Backend-dispatching solve; every path is bit-identical."""
+def _solve_batch(
+    dims: list[tuple[int, int]], inputs: list[np.ndarray], has_costs: bool
+) -> list[AssignmentResult]:
+    """Backend-dispatching batch solve; every path is bit-identical.
+
+    ``inputs`` are the cost blocks (``has_costs``) or the c, m, tc, tm
+    pieces of every problem, in the packed order of the C kernel.
+    """
     # Local import: permkernels imports nothing from this module, but the
     # function-level import keeps the module graph acyclic-by-construction.
     from repro.core.permkernels import resolve_backend
 
     backend = resolve_backend()
-    col_of_row: np.ndarray | None = None
-    if backend in ("numba", "interp"):
-        if backend == "interp":
-            kernel = jit_solvers.hungarian_kernel  # uncompiled backdoor
-        else:
-            kernel, _ = jit_solvers.load_hungarian_kernel()
-        if kernel is None:
-            backend = "cc"
-        else:
-            col_of_row = _solve_kernel(kernel, cost, n, m)
-    if col_of_row is None and backend == "cc":
-        lib, _ = cc_solvers.load_library()
-        if lib is not None:
-            col_of_row = _solve_cc(lib, cost, n, m)
-    if col_of_row is None and backend == "reference":
-        return _solve_reference(cost, n, m)
-    if col_of_row is None:
-        col_of_row = _solve_numpy(cost, n, m)
+    k = len(dims)
+    with reqtrace.span("hungarian", problems=k):
+        if backend == "cc":
+            lib, _ = cc_solvers.load_library()
+            if lib is not None:
+                return _solve_cc(lib, dims, inputs, has_costs)
+        solve = _solve_reference if backend == "reference" else _solve_numpy_result
+        return [
+            solve(block, n, m)
+            for block, (n, m) in zip(_blocks(dims, inputs, has_costs), dims)
+        ]
+
+
+def _blocks(dims, inputs, has_costs):
+    """Each problem's cost matrix, built with the eq. 13 expression."""
+    if has_costs:
+        for flat, (n, m) in zip(inputs, dims):
+            yield flat.reshape(n, m)
+        return
+    k = len(dims)
+    for p in range(k):
+        c, m, tc, tm = inputs[p], inputs[k + p], inputs[2 * k + p], inputs[3 * k + p]
+        cost = c[:, None] * tc[None, :] + m[:, None] * tm[None, :]
+        if not np.all(np.isfinite(cost)):
+            raise ValueError("cost matrix must be finite")
+        yield cost
+
+
+def _solve_cc(lib, dims, inputs, has_costs) -> list[AssignmentResult]:
+    k = len(dims)
+    rows = sum(n for n, _ in dims)
+    ints = np.empty(2 * k + rows, dtype=np.int64)
+    ints[: 2 * k] = np.ravel(dims)
+    reals = np.concatenate(inputs + [np.empty(rows)])
+    status = cc_solvers.cc_assign_batch(lib, k, ints, reals, has_costs)
+    if status < 0:  # pragma: no cover - allocation failure
+        raise MemoryError("assignment kernel could not allocate its workspace")
+    if status > 0:
+        # Problem status - 1 failed and every earlier one is finite: name
+        # the failure as the per-problem solvers do.
+        for _ in itertools.islice(_blocks(dims, inputs, has_costs), status):
+            pass
+        raise ValueError("assignment problem is infeasible")  # pragma: no cover
+    col_of_row = ints[2 * k :]
+    row_cost = reals[reals.size - rows :]
+    results = []
+    r0 = 0
+    for n, _ in dims:
+        cols = col_of_row[r0 : r0 + n]
+        cols.setflags(write=False)
+        results.append(
+            AssignmentResult(col_of_row=cols, total_cost=float(row_cost[r0 : r0 + n].sum()))
+        )
+        r0 += n
+    return results
+
+
+def _solve_numpy_result(cost: np.ndarray, n: int, m: int) -> AssignmentResult:
+    col_of_row = _solve_numpy(cost, n, m)
     total = float(cost[np.arange(n), col_of_row].sum())
     col_of_row.setflags(write=False)
     return AssignmentResult(col_of_row=col_of_row, total_cost=total)
-
-
-def _solve_kernel(kernel, cost: np.ndarray, n: int, m: int) -> np.ndarray:
-    col_of_row = np.empty(n, dtype=np.int64)
-    status = kernel(
-        np.ascontiguousarray(cost),
-        col_of_row,
-        np.empty(m, dtype=np.int64),
-        np.empty(n),
-        np.empty(m),
-        np.empty(m),
-        np.empty(m, dtype=np.int64),
-        np.empty(n, dtype=np.bool_),
-        np.empty(m, dtype=np.bool_),
-    )
-    if status != 0:  # pragma: no cover - finite input is validated above
-        raise ValueError("assignment problem is infeasible")
-    return col_of_row
-
-
-def _solve_cc(lib, cost: np.ndarray, n: int, m: int) -> np.ndarray:
-    col_of_row = np.empty(n, dtype=np.int64)
-    status = cc_solvers.cc_hungarian(
-        lib,
-        np.ascontiguousarray(cost),
-        col_of_row,
-        np.empty(m, dtype=np.int64),
-        np.empty(n),
-        np.empty(m),
-        np.empty(m),
-        np.empty(m, dtype=np.int64),
-    )
-    if status != 0:  # pragma: no cover - finite input is validated above
-        raise ValueError("assignment problem is infeasible")
-    return col_of_row
 
 
 def _solve_numpy(cost: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -13,35 +13,32 @@ Two things live here:
   ``_batched_metrics``: same expressions, same reduction order.
 
 * The solver kernel **backend dispatch**.  The SSS swap sweep (and the
-  Hungarian solve in `repro.core.hungarian`) run through one of:
+  batched Hungarian solves in `repro.core.hungarian`) run through one of
+  three backends:
 
-  - ``numba`` — ``@njit(nogil=True)`` kernels (`repro.core.jit_solvers`)
-    when numba is importable,
   - ``cc`` — the self-compiled ctypes C kernels
-    (`repro.core.cc_solvers`) when a C compiler is present,
-  - ``interp`` — the nopython kernels run uncompiled
-    (``REPRO_JIT=interp``; the exactness-testing backdoor),
-  - ``numpy`` — a batched multi-window NumPy fallback, always available,
+    (`repro.core.cc_solvers`) when a C compiler is present: one kernel
+    crossing per swap sweep and one per batch of assignment problems,
+    with the GIL released, so the serve worker pool's threads scale
+    solves across cores;
+  - ``numpy`` — a batched multi-window NumPy fallback, always available;
   - ``reference`` — the original per-window / per-column pure-Python
     paths, selectable only via :func:`force_backend` (tests and the
     regression benchmarks use it as the measurement baseline).
 
-  Resolution order is ``numba > cc > numpy`` and can be pinned with
-  ``REPRO_JIT`` (``interp``, ``0``/``off`` → numpy, ``numba``, ``cc``)
-  or programmatically with :func:`force_backend`.  All compiled
-  backends release the GIL, so the serve worker pool's threads scale
-  solves across cores.
+  Resolution picks ``cc`` when it builds and ``numpy`` otherwise;
+  ``REPRO_CC=0`` selects ``numpy``.  :func:`force_backend` pins a
+  backend for a block and :func:`pin_backend` stickily.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core import cc_solvers, jit_solvers
+from repro.core import cc_solvers
 from repro.core.metrics import MappingEvaluation
 from repro.core.workload import Workload
 
@@ -57,10 +54,12 @@ __all__ = [
 
 _FORCED: str | None = None
 _PINNED: str | None = None
-_VALID_BACKENDS = ("numba", "cc", "interp", "numpy", "reference")
+_VALID_BACKENDS = ("cc", "numpy", "reference")
 
 
 def _cc_available() -> bool:
+    if cc_solvers.disabled():
+        return False
     lib, _ = cc_solvers.load_library()
     return lib is not None
 
@@ -71,28 +70,14 @@ def resolve_backend() -> str:
         return _FORCED
     if _PINNED is not None:
         return _PINNED
-    env = os.environ.get("REPRO_JIT", "").strip().lower()
-    if env == "interp":
-        return "interp"
-    if env in ("0", "off", "none", "false"):
-        return "numpy"
-    if env == "numba":
-        return "numba" if jit_solvers.HAVE_NUMBA else "numpy"
-    if env == "cc":
-        return "cc" if _cc_available() else "numpy"
-    # auto (unset / "1" / anything else): best available compiled backend.
-    if jit_solvers.HAVE_NUMBA:
-        return "numba"
-    if _cc_available():
-        return "cc"
-    return "numpy"
+    return "cc" if _cc_available() else "numpy"
 
 
 @contextmanager
 def force_backend(name: str):
     """Pin the kernel backend for the duration of the ``with`` block.
 
-    Accepts any of ``numba | cc | interp | numpy | reference``; tests and
+    Accepts any of ``cc | numpy | reference``; tests and
     benchmarks use it to compare backends on one process without touching
     the environment.  Not thread-safe by design — it exists for
     single-threaded measurement/verification code.
@@ -134,11 +119,9 @@ def backend_info() -> dict:
     cc_lib, cc_reason = cc_solvers.load_library()
     return {
         "backend": resolve_backend(),
-        "numba": jit_solvers.HAVE_NUMBA,
         "cc": cc_lib is not None,
         "cc_compiler": cc_solvers.compiler_path(),
         "cc_reason": cc_reason,
-        "numba_reason": jit_solvers.UNAVAILABLE_REASON,
     }
 
 
@@ -150,7 +133,7 @@ def warmup() -> dict:
     """Compile/build the selected backend eagerly; returns backend_info().
 
     The serve daemon calls this at startup so the first cache-miss request
-    never pays numba compilation or the one-off C build.  Idempotent and
+    never pays the one-off C build.  Idempotent and
     cheap after the first call.
     """
     global _warmed
@@ -206,30 +189,22 @@ def sweep_pass_inplace(
     (`repro.core.sss._SwapState.try_window` called in sweep order):
     identical accept decisions, identical float accumulation.  Returns
     ``(windows_tried, windows_accepted)``.
+
+    On ``cc``, an array that is not C-contiguous of its dtype (int64, or
+    float64 for rates, latencies and numerators), a length that does not
+    match, or an index entry out of range raises ``ValueError`` before
+    anything is written.
     """
     backend = backend or resolve_backend()
-    if backend in ("numba", "interp"):
-        if backend == "interp":
-            kernel = jit_solvers.sweep_pass  # uncompiled: the exactness backdoor
-        else:
-            kernel, _ = jit_solvers.load_sweep_kernel()
-        if kernel is not None:
-            counts = np.zeros(2, dtype=np.int64)
-            kernel(
-                sorted_tiles, w, max_step, perms, perm, tile_thread,
-                numerators, c, m, tc, tm, app_of_thread, safe_volumes,
-                active, counts,
-            )
-            return int(counts[0]), int(counts[1])
-        backend = "cc"  # numba requested but absent
     if backend == "cc" and (
         numerators.shape[0] <= cc_solvers.CC_MAX_APPS
         and w <= cc_solvers.CC_MAX_WINDOW
     ):
         lib, _ = cc_solvers.load_library()
         if lib is not None:
-            counts = np.zeros(2, dtype=np.int64)
-            cc_solvers.cc_sweep_pass(
+            # The kernel writes perm/tile_thread/numerators in place, so
+            # cc_solvers.address rejects views it cannot index safely.
+            return cc_solvers.cc_sweep_pass(
                 lib,
                 np.ascontiguousarray(sorted_tiles), w, max_step,
                 np.ascontiguousarray(perms), perm, tile_thread, numerators,
@@ -237,9 +212,8 @@ def sweep_pass_inplace(
                 np.ascontiguousarray(tc), np.ascontiguousarray(tm),
                 np.ascontiguousarray(app_of_thread),
                 np.ascontiguousarray(safe_volumes),
-                np.ascontiguousarray(active), counts,
+                np.ascontiguousarray(active),
             )
-            return int(counts[0]), int(counts[1])
     return _numpy_sweep_pass(
         sorted_tiles, w, max_step, perms, perm, tile_thread, numerators,
         c, m, tc, tm, app_of_thread, safe_volumes, active,

@@ -33,7 +33,7 @@ from repro.core import permkernels
 from repro.core.metrics import evaluate_mapping
 from repro.core.problem import Mapping, OBMInstance
 from repro.core.results import MappingResult
-from repro.core.sam import assign_app_to_tiles
+from repro.core.sam import assign_apps_to_tiles
 from repro.obs import reqtrace
 from repro.utils import profiling
 from repro.utils.rng import as_rng
@@ -118,23 +118,26 @@ def _app_processing_order(instance: OBMInstance, config: SSSConfig) -> list[int]
     return sorted(order, key=lambda i: volumes[i], reverse=reverse)
 
 
-def _select_tiles(
-    remaining: np.ndarray, n_pick: int, policy: str, rng: np.random.Generator
+def _select_positions(
+    n_remaining: int, n_pick: int, policy: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pick one representative tile from each of ``n_pick`` equal sections."""
-    sections = np.array_split(remaining, n_pick)
-    picks = np.empty(n_pick, dtype=np.int64)
-    for s, section in enumerate(sections):
-        if policy == "middle":
-            idx = len(section) // 2
-        elif policy == "first":
-            idx = 0
-        elif policy == "last":
-            idx = len(section) - 1
-        else:  # random
-            idx = int(rng.integers(len(section)))
-        picks[s] = section[idx]
-    return picks
+    """Positions of one representative from each of ``n_pick`` equal sections.
+
+    Sections follow ``np.array_split``: the first ``n_remaining % n_pick``
+    hold one tile more than the rest.
+    """
+    size, extra = divmod(n_remaining, n_pick)
+    s = np.arange(n_pick, dtype=np.int64)
+    sizes = size + (s < extra)
+    starts = s * size + np.minimum(s, extra)
+    if policy == "middle":
+        return starts + sizes // 2
+    if policy == "first":
+        return starts
+    if policy == "last":
+        return starts + sizes - 1
+    # random: one draw per section, in section order
+    return starts + np.array([int(rng.integers(k)) for k in sizes], dtype=np.int64)
 
 
 def _select_phase(
@@ -143,26 +146,31 @@ def _select_phase(
     rng: np.random.Generator,
     tc_order: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Steps 1+2: sorted stratified tile selection + per-app SAM placement."""
+    """Steps 1+2: sorted stratified tile selection + per-app SAM placement.
+
+    The tile picks never depend on a SAM result, so every application's
+    picks come first and all the SAMs are then solved in one crossing.
+    """
     wl = instance.workload
     sorted_tiles = _tc_sorted_tiles(instance) if tc_order is None else tc_order
     remaining = sorted_tiles.copy()
     perm = np.full(instance.n, -1, dtype=np.int64)
-
-    for app_index in _app_processing_order(instance, config):
+    order = _app_processing_order(instance, config)
+    picks = []
+    for app_index in order:
         n_threads = wl.applications[app_index].n_threads
-        picked = _select_tiles(remaining, n_threads, config.select, rng)
-        assign_app_to_tiles(
-            perm,
-            wl.thread_slice(app_index),
-            wl.cache_rates,
-            wl.mem_rates,
-            picked,
-            instance.tc,
-            instance.tm,
-        )
-        keep = ~np.isin(remaining, picked)
-        remaining = remaining[keep]
+        positions = _select_positions(remaining.size, n_threads, config.select, rng)
+        picks.append(remaining[positions])
+        remaining = np.delete(remaining, positions)
+    assign_apps_to_tiles(
+        perm,
+        [wl.thread_slice(app_index) for app_index in order],
+        wl.cache_rates,
+        wl.mem_rates,
+        picks,
+        instance.tc,
+        instance.tm,
+    )
     assert remaining.size == 0 and not np.any(perm < 0)
     return perm
 
@@ -252,8 +260,8 @@ def _swap_phase(
     """Step 3's sliding-window sweep over the sorted tile list.
 
     The whole ``(pass, step, start)`` sweep runs as one fused kernel call
-    per pass (`repro.core.permkernels.sweep_pass_inplace` — numba, the
-    self-compiled C backend, or the batched NumPy fallback), bit-identical
+    per pass (`repro.core.permkernels.sweep_pass_inplace` — the
+    self-compiled C backend or the batched NumPy fallback), bit-identical
     to the per-window reference loop, which ``backend="reference"`` keeps
     selectable for tests and the regression benchmarks.  ``recompute()``
     still runs between passes so float drift clears on the same cadence.
@@ -335,13 +343,14 @@ def sort_select_swap(
     t = time.perf_counter()
     with reqtrace.span("sss.polish"):
         if config.final_polish:
+            # Each application keeps its own tile set, so the per-app
+            # SAMs are independent: one crossing solves them all.
             wl = instance.workload
-            for app_index in range(wl.n_apps):
-                sl = wl.thread_slice(app_index)
-                assign_app_to_tiles(
-                    perm, sl, wl.cache_rates, wl.mem_rates,
-                    perm[sl].copy(), instance.tc, instance.tm,
-                )
+            slices = [wl.thread_slice(app_index) for app_index in range(wl.n_apps)]
+            assign_apps_to_tiles(
+                perm, slices, wl.cache_rates, wl.mem_rates,
+                [perm[sl].copy() for sl in slices], instance.tc, instance.tm,
+            )
             if config.rebalance_after_polish and config.swap_passes > 0:
                 perm, tried, accepted = _swap_phase(
                     instance, perm, replace(config, swap_passes=1), tc_order

@@ -28,8 +28,8 @@ runs to completion even when the requester that started it timed out.
 **Circuit breakers** (:class:`CircuitBreaker`) — per-backend failure
 accounting with the PR 5 failure-budget semantics (count failures,
 trip at a budget) plus the classic closed → open → half-open cycle.  A
-wedged compiled backend (``vector-jit`` simulation kernels, ``numba``/
-``cc`` solver kernels) trips its breaker and traffic is routed to the
+wedged compiled backend (``vector-jit`` simulation kernels, ``cc``
+solver kernels) trips its breaker and traffic is routed to the
 bit-identical pure-NumPy fallback instead of 503ing the world; after
 ``reset_after`` seconds the breaker goes half-open and lets probes
 through to the real backend again.

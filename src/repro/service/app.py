@@ -227,12 +227,11 @@ class MappingService:
         # resolved once so a tripped breaker (which pins numpy) does not
         # hide which compiled backend we should probe when it cools down.
         self._kernel_backend = permkernels.resolve_backend()
-        for backend in ("numba", "cc"):
-            self.breakers.configure(
-                backend,
-                on_open=lambda: permkernels.pin_backend("numpy"),
-                on_close=lambda: permkernels.pin_backend(None),
-            )
+        self.breakers.configure(
+            "cc",
+            on_open=lambda: permkernels.pin_backend("numpy"),
+            on_close=lambda: permkernels.pin_backend(None),
+        )
         #: EWMA of one full solve's wall cost, feeding degrade decisions.
         self.solve_cost = EwmaEstimate()
         self._m_latency = self.registry.histogram(
@@ -482,7 +481,7 @@ class MappingService:
         pin routes solves to NumPy and those runs are *not* charged to
         the compiled backend's breaker.
         """
-        if self._kernel_backend not in ("numba", "cc"):
+        if self._kernel_backend != "cc":
             return None
         breaker = self.breakers.get(self._kernel_backend)
         if breaker.blocked():
@@ -929,7 +928,7 @@ class MappingService:
         """Pre-build the solver kernel backend on a pool thread.
 
         Called once at daemon startup so the first cache-miss request
-        never pays numba compilation or the one-off C kernel build.  A
+        never pays the one-off C kernel build.  A
         failure is logged and swallowed — the solvers fall back to the
         batched NumPy path on their own.
         """

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hungarian import solve_assignment
+from repro.core.hungarian import solve_assignment, solve_assignments
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -113,3 +113,20 @@ def test_constant_shift_shifts_cost_only(data, n, offset):
     base = solve_assignment(cost)
     shifted = solve_assignment(cost + offset)
     assert np.isclose(shifted.total_cost, base.total_cost + n * offset, atol=1e-6)
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    shapes=st.lists(st.one_of(_square_shapes, _rect_shapes), min_size=1, max_size=4),
+)
+def test_ragged_batch_hits_every_optimum(data, shapes):
+    """One batched crossing solves each problem exactly as a single solve."""
+    costs = [data.draw(_matrix(n, m, _tied_ints)) for n, m in shapes]
+    batch = solve_assignments(costs)
+    assert len(batch) == len(costs)
+    for cost, result in zip(costs, batch):
+        single = solve_assignment(cost)
+        assert result.col_of_row.tolist() == single.col_of_row.tolist()
+        assert float(result.total_cost).hex() == float(single.total_cost).hex()
+        assert np.isclose(result.total_cost, brute_force_optimum(cost), atol=1e-9)

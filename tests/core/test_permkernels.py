@@ -31,17 +31,15 @@ from repro.core.exact import branch_and_bound, exhaustive_search
 from repro.core.latency import Mesh, MeshLatencyModel
 from repro.core.metrics import evaluate_many, evaluate_mapping
 from repro.core.problem import OBMInstance
+from repro.core.sam import solve_sam, solve_sams
 from repro.core.sss import _SwapState, _window_perms
 from repro.core.workload import Application, Workload
 from repro.utils.rng import as_rng
 
-# Backends that can run in any environment.  numba/cc join when available;
-# their absence must not silently shrink coverage of the always-on pair.
-BACKENDS = ["numpy", "interp"]
+# numpy runs in any environment; cc joins when a compiler is present.
+BACKENDS = ["numpy"]
 if permkernels.backend_info()["cc"]:
     BACKENDS.append("cc")
-if permkernels.backend_info()["numba"]:
-    BACKENDS.append("numba")
 
 
 def fuzz_instance(seed: int, side: int, n_apps: int, idle_apps: int) -> OBMInstance:
@@ -117,6 +115,90 @@ class TestSweepKernel:
             assert state.numerators.tobytes() == ref.numerators.tobytes(), backend
             assert state.windows_tried == ref.windows_tried, backend
             assert state.windows_accepted == ref.windows_accepted, backend
+
+    @pytest.mark.parametrize("strided", ["perm", "tile_thread", "numerators"])
+    def test_strided_inplace_array_is_never_written_silently(self, strided):
+        """A view the kernel cannot index gives numpy's result or ValueError."""
+        instance = fuzz_instance(7, 4, 3, 0)
+        perm0 = np.random.default_rng(7).permutation(instance.n).astype(np.int64)
+        sorted_tiles = np.argsort(instance.tc, kind="stable").astype(np.int64)
+        max_step = max(1, instance.n // 4)
+
+        def sweep(state, backend):
+            return permkernels.sweep_pass_inplace(
+                sorted_tiles, 4, max_step, state.perms, state.perm,
+                state.tile_thread, state.numerators, state.c, state.m,
+                state.tc, state.tm, state.app_of_thread,
+                state._safe_volumes, state.active, backend=backend,
+            )
+
+        want = _SwapState(instance, perm0, 4)
+        want_counts = sweep(want, "numpy")
+        for backend in BACKENDS:
+            state = _SwapState(instance, perm0, 4)
+            inner = getattr(state, strided)
+            before = inner.copy()
+            base = np.full(2 * inner.size, -7, dtype=inner.dtype)
+            base[::2] = inner
+            setattr(state, strided, base[::2])
+            try:
+                counts = sweep(state, backend)
+            except ValueError:
+                assert base[::2].tobytes() == before.tobytes(), backend
+            else:
+                assert counts == want_counts, backend
+                assert state.perm.tolist() == want.perm.tolist(), backend
+                assert state.numerators.tobytes() == want.numerators.tobytes(), backend
+            assert np.all(base[1::2] == -7), backend
+
+    def test_wrong_dtype_inplace_array_is_rejected_or_exact(self):
+        instance = fuzz_instance(8, 4, 2, 0)
+        perm0 = np.random.default_rng(8).permutation(instance.n).astype(np.int64)
+        sorted_tiles = np.argsort(instance.tc, kind="stable").astype(np.int64)
+        want = _SwapState(instance, perm0, 4)
+        args = lambda st, backend: (  # noqa: E731
+            sorted_tiles, 4, 4, st.perms, st.perm, st.tile_thread,
+            st.numerators, st.c, st.m, st.tc, st.tm, st.app_of_thread,
+            st._safe_volumes, st.active, backend,
+        )
+        permkernels.sweep_pass_inplace(*args(want, "numpy"))
+        for backend in BACKENDS:
+            state = _SwapState(instance, perm0, 4)
+            state.perm = state.perm.astype(np.int32)
+            try:
+                permkernels.sweep_pass_inplace(*args(state, backend))
+            except ValueError:
+                assert state.perm.tolist() == perm0.tolist(), backend
+            else:
+                assert state.perm.tolist() == want.perm.tolist(), backend
+
+    @pytest.mark.skipif("cc" not in BACKENDS, reason="no C compiler")
+    def test_out_of_range_inputs_are_rejected_before_the_kernel(self):
+        instance = fuzz_instance(9, 4, 2, 0)
+        sorted_tiles = np.argsort(instance.tc, kind="stable").astype(np.int64)
+
+        def sweep(**change):
+            state = _SwapState(instance, np.arange(instance.n), 4)
+            args = dict(
+                sorted_tiles=sorted_tiles, w=4, max_step=4, perms=state.perms,
+                perm=state.perm, tile_thread=state.tile_thread,
+                numerators=state.numerators, c=state.c, m=state.m, tc=state.tc,
+                tm=state.tm, app_of_thread=state.app_of_thread,
+                safe_volumes=state._safe_volumes, active=state.active,
+            )
+            args.update(change)
+            permkernels.sweep_pass_inplace(**args, backend="cc")
+
+        n = instance.n
+        for change in (
+            {"tile_thread": np.arange(n // 2, dtype=np.int64)},
+            {"sorted_tiles": np.append(sorted_tiles[:-1], n)},
+            {"c": np.ones(n - 1)},
+            {"active": np.array([0, 5], dtype=np.int64)},
+            {"perms": _window_perms(3)},
+        ):
+            with pytest.raises(ValueError):
+                sweep(**change)
 
     def test_window_perms_identity_first(self):
         for w in (2, 3, 4):
@@ -208,6 +290,136 @@ class TestHungarianBackends:
             assert float(got.total_cost).hex() == float(want.total_cost).hex(), backend
 
 
+def _tied_costs(rng, shapes, levels):
+    return [rng.integers(0, levels, size=shape).astype(float) for shape in shapes]
+
+
+_ragged_shapes = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(0, 3)).map(lambda t: (t[0], t[0] + t[1])),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestAssignmentBatches:
+    """Batches of assignment/SAM problems == the problems solved one by one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), shapes=_ragged_shapes, levels=st.integers(1, 4))
+    def test_batch_equals_single_solves(self, seed, shapes, levels):
+        rng = np.random.default_rng(seed)
+        costs = _tied_costs(rng, shapes, levels)
+        # Eq. 13 blocks with tied integer rates and tile latencies.
+        rates = [
+            tuple(rng.integers(0, levels + 1, size=k).astype(float) for k in (n, n, m, m))
+            for n, m in shapes
+        ]
+        for backend in [*BACKENDS, "reference"]:
+            with permkernels.force_backend(backend):
+                batch = hungarian.solve_assignments(costs)
+                singles = [hungarian.solve_assignment(cost) for cost in costs]
+                rate_batch = hungarian.solve_rate_assignments(rates)
+                rate_singles = [
+                    hungarian.solve_assignment(c[:, None] * tc[None, :] + m[:, None] * tm[None, :])
+                    for c, m, tc, tm in rates
+                ]
+            for got, want in zip(batch + rate_batch, singles + rate_singles):
+                assert got.col_of_row.tolist() == want.col_of_row.tolist(), backend
+                assert float(got.total_cost).hex() == float(want.total_cost).hex(), backend
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    def test_sam_batch_equals_single_solves(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        tc = rng.integers(1, 4, size=16).astype(float)
+        tm = rng.integers(0, 3, size=16).astype(float)
+        problems = [
+            (
+                rng.integers(0, 3, size=k).astype(float),
+                rng.integers(0, 2, size=k).astype(float),
+                rng.choice(16, size=k, replace=False),
+            )
+            for k in sizes
+        ]
+        for backend in [*BACKENDS, "reference"]:
+            with permkernels.force_backend(backend):
+                batch = solve_sams(problems, tc, tm)
+                singles = [solve_sam(c, m, tiles, tc, tm) for c, m, tiles in problems]
+            for got, want in zip(batch, singles):
+                assert got.tile_of_thread.tolist() == want.tile_of_thread.tolist(), backend
+                assert float(got.apl).hex() == float(want.apl).hex(), backend
+                assert float(got.total_latency).hex() == float(want.total_latency).hex()
+
+    @pytest.mark.skipif("cc" not in BACKENDS, reason="no C compiler")
+    def test_kernel_buffers_must_match_their_layout(self):
+        from repro.core import cc_solvers
+
+        lib, _ = cc_solvers.load_library()
+        ints = np.array([2, 2, 0, 0], dtype=np.int64)
+        reals = np.concatenate([np.ones(4), np.empty(2)])
+        assert cc_solvers.cc_assign_batch(lib, 1, ints, reals, True) == 0
+        for bad_ints, bad_reals in (
+            (ints[:3], reals),
+            (ints, reals[:-1]),
+            (np.array([0, 2, 0, 0], dtype=np.int64), reals),
+            (ints, np.ones(6, dtype=np.float32)),
+        ):
+            with pytest.raises(ValueError):
+                cc_solvers.cc_assign_batch(lib, 1, bad_ints, bad_reals, True)
+
+    BAD_COSTS = {
+        "empty": np.zeros((0, 3)),
+        "more_rows": np.ones((3, 2)),
+        "non_finite": np.array([[1.0, np.inf], [0.0, 1.0]]),
+        "nan": np.array([[1.0, np.nan]]),
+        "not_2d": np.ones(3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_COSTS))
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_batch_raises_the_single_solve_error(self, kind, position):
+        bad = self.BAD_COSTS[kind]
+        good = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[3.0, 1.0, 2.0]])]
+        batch = good[:position] + [bad] + good[position:]
+        for backend in [*BACKENDS, "reference"]:
+            with permkernels.force_backend(backend):
+                want = _raised(hungarian.solve_assignment, bad)
+                assert _raised(hungarian.solve_assignments, batch) == want, backend
+                # Two bad problems: the first one's error wins.
+                other = self.BAD_COSTS["more_rows" if kind != "more_rows" else "empty"]
+                assert _raised(hungarian.solve_assignments, batch + [other]) == want
+
+    BAD_SAMS = {
+        "duplicate_tiles": (np.ones(2), np.ones(2), np.array([3, 3])),
+        "length_mismatch": (np.ones(2), np.ones(3), np.array([1, 2])),
+        "empty": (np.ones(0), np.ones(0), np.array([], dtype=np.int64)),
+        "non_finite_rates": (np.array([1.0, np.inf]), np.ones(2), np.array([1, 2])),
+        "overflow": (np.array([1e300, 1.0]), np.ones(2), np.array([1, 2])),
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", sorted(BAD_SAMS))
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_sam_batch_raises_the_single_solve_error(self, kind, position):
+        tc = np.linspace(1.0, 1e10, 8)
+        tm = np.ones(8)
+        bad = self.BAD_SAMS[kind]
+        good = [(np.ones(3), np.zeros(3), np.array([0, 5, 7]))]
+        batch = good[:position] + [bad] + good[position:]
+        for backend in [*BACKENDS, "reference"]:
+            with permkernels.force_backend(backend):
+                want = _raised(solve_sam, *bad, tc, tm)
+                assert _raised(solve_sams, batch, tc, tm) == want, backend
+                other = self.BAD_SAMS["duplicate_tiles" if kind != "duplicate_tiles" else "empty"]
+                assert _raised(solve_sams, batch + [other], tc, tm) == want, backend
+
+
 class TestMonteCarloTieBreak:
     def test_constant_objective_returns_first_sample(self):
         """All samples tie => the first sampled permutation wins (satellite 1)."""
@@ -278,17 +490,17 @@ class TestBackendPlumbing:
             assert permkernels.resolve_backend() == "reference"
 
     def test_env_off_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "off")
+        monkeypatch.setenv("REPRO_CC", "0")
         assert permkernels.resolve_backend() == "numpy"
-        monkeypatch.setenv("REPRO_JIT", "interp")
-        assert permkernels.resolve_backend() == "interp"
+        for retired in ("numba", "interp"):
+            with pytest.raises(ValueError):
+                with permkernels.force_backend(retired):
+                    pass
 
     def test_backend_info_shape(self):
         info = permkernels.backend_info()
-        assert set(info) == {
-            "backend", "numba", "cc", "cc_compiler", "cc_reason", "numba_reason"
-        }
-        assert info["backend"] in ("numba", "cc", "interp", "numpy")
+        assert set(info) == {"backend", "cc", "cc_compiler", "cc_reason"}
+        assert info["backend"] in ("cc", "numpy")
 
     def test_warmup_idempotent(self):
         first = permkernels.warmup()

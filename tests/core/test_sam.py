@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sam import assign_app_to_tiles, solve_sam
+from repro.core.sam import assign_apps_to_tiles, solve_sam
 
 
 def brute_force_sam(c, m, tiles, tc, tm):
@@ -108,8 +108,8 @@ class TestAssignAppToTiles:
         m = np.zeros(6)
         tc = np.arange(6, dtype=float) * 10 + 5
         tm = np.zeros(6)
-        apl = assign_app_to_tiles(
-            perm, slice(3, 6), c, m, np.array([0, 2, 4]), tc, tm
+        (apl,) = assign_apps_to_tiles(
+            perm, [slice(3, 6)], c, m, [np.array([0, 2, 4])], tc, tm
         )
         assert set(perm[3:6].tolist()) == {0, 2, 4}
         assert np.all(perm[:3] == -1)

@@ -8,6 +8,13 @@ tests replay the exact same budgets through each locally available
 kernel backend and require *bit* equality, pinning the refactor's core
 contract: the compiled/batched kernels change solver speed, never
 solver output.
+
+``goldens/bounds_stage_results.json`` pins what the final mapping does
+not show, captured the same way before the assignment solves were
+batched: the certified lower bound (mean bound, per-application bound
+and optima) and the SSS stage results (select and swap max-APL, swap
+windows tried/accepted).  It is replayed on every backend, ``reference``
+included.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import pytest
 
 from repro.core import permkernels
 from repro.core.baselines import monte_carlo
+from repro.core.bounds import max_apl_lower_bound
 from repro.core.exact import ExactSolverLimits, branch_and_bound
 from repro.core.genetic import GAConfig, genetic_algorithm
 from repro.core.sss import multi_start_sss, sort_select_swap
@@ -27,28 +35,22 @@ from repro.experiments.base import standard_instance, standard_model
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "solver_results.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+STAGES_PATH = Path(__file__).parent / "goldens" / "bounds_stage_results.json"
+STAGES = json.loads(STAGES_PATH.read_text())
 CONFIGS = [f"C{i}" for i in range(1, 9)]
 
 
 def _backends() -> list:
-    """Every backend runnable in this environment (cc/numba may be absent)."""
-    out = [
+    """Every backend runnable in this environment (cc needs a compiler)."""
+    return [
         "numpy",
-        "interp",
         pytest.param(
             "cc",
             marks=pytest.mark.skipif(
                 not permkernels.backend_info()["cc"], reason="no C compiler"
             ),
         ),
-        pytest.param(
-            "numba",
-            marks=pytest.mark.skipif(
-                not permkernels.backend_info()["numba"], reason="numba not installed"
-            ),
-        ),
     ]
-    return out
 
 
 def _assert_matches(result, doc) -> None:
@@ -64,6 +66,30 @@ def _assert_matches(result, doc) -> None:
 def backend(request):
     with permkernels.force_backend(request.param):
         yield request.param
+
+
+@pytest.fixture(params=[*_backends(), "reference"])
+def any_backend(request):
+    with permkernels.force_backend(request.param):
+        yield request.param
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_lower_bound_matches_golden(name, any_backend):
+    lb = max_apl_lower_bound(standard_instance(name))
+    doc = STAGES[name]["bounds"]
+    assert float(lb.mean_bound).hex() == doc["mean_bound"]
+    assert float(lb.per_app_bound).hex() == doc["per_app_bound"]
+    assert [float(v).hex() for v in lb.per_app_optima] == doc["per_app_optima"]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_sss_stages_match_golden(name, any_backend):
+    extra = sort_select_swap(standard_instance(name)).extra
+    doc = STAGES[name]["sss"]
+    assert float(extra["select_eval"].max_apl).hex() == doc["select_max_apl"]
+    assert float(extra["swap_eval"].max_apl).hex() == doc["swap_max_apl"]
+    assert extra["swap_windows"] == doc["swap_windows"]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
